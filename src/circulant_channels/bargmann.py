@@ -124,7 +124,8 @@ def vectors_from_gram(g, rank_tol: float = 1e-10) -> np.ndarray:
 
     Eigendecomposes G, keeps eigenvalues above rank_tol, and returns an
     (n, r) array whose rows reproduce G as their Gram matrix; r is the
-    numerical rank.  Unit diagonal already guarantees unit rows.
+    numerical rank.  Dropping the small eigenvalues moves each row's squared
+    length off one by up to n * rank_tol, so the rows are renormalized.
     """
     g = _validated_gram(g)
     lam, u = np.linalg.eigh(g)
@@ -132,7 +133,7 @@ def vectors_from_gram(g, rank_tol: float = 1e-10) -> np.ndarray:
     if not np.any(keep):
         raise ValueError("Gram matrix has no eigenvalue above the rank tolerance")
     psi = u[:, keep].conj() * np.sqrt(lam[keep])
-    return psi
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Local action of the cyclic averaging channel on bipartite operators,
 partial-transpose positivity reports, and entanglement-erasure sampling.
 
-Composite indices are A-major: basis vector (i, p) sits at i * dB + p.  The
-closed forms here replace full Kraus conjugation with partial traces:
-
-* channel on A only:   (1/dA) sum_k P^k (x) Tr_A[X (P^-k (x) I)]
-* channel on A and B:  (1/(dA dB)) sum_{r, s} Tr[X (P^-r (x) P^-s)] P^r (x) P^s
+Composite indices are A-major: basis vector (i, p) sits at i * dB + p.  A
+local channel never forms a Kraus operator: on the (dA, dB, dA, dB) reshape
+of X, conjugation by P^r (x) P^s shifts the A index pair by r and the B
+index pair by s, so each side is one weighted index-shift sum.
 
 Because the averaging channel is entanglement breaking, applying it to one
 side of any state yields a PPT state; at 2 (x) 2 and 2 (x) 3 the PPT test is
@@ -38,57 +37,37 @@ def basis_image(i: int, j: int, d: int) -> np.ndarray:
 
 
 def apply_uniform_A(x, dims) -> np.ndarray:
-    """Averaging channel on subsystem A, identity on B, via partial traces."""
-    x, da, db = linalg.as_bipartite(x, dims)
-    eye_b = np.eye(db, dtype=complex)
-    out = np.zeros_like(x)
-    for k in range(da):
-        pk = linalg.cyclic_shift(da, k)
-        block = linalg.partial_trace(x @ linalg.kron(pk.conj().T, eye_b), (da, db), 0)
-        out += linalg.kron(pk, block)
-    return out / da
+    """Averaging channel on subsystem A, identity on B."""
+    x, da, _ = linalg.as_bipartite(x, dims)
+    return apply_weighted(x, dims, weights_a=channels.uniform_weights(da))
 
 
 def apply_uniform_AB(x, dims) -> np.ndarray:
-    """Averaging channel on both subsystems, via the double trace form."""
+    """Averaging channel on both subsystems."""
     x, da, db = linalg.as_bipartite(x, dims)
-    out = np.zeros_like(x)
-    for ra in range(da):
-        pa = linalg.cyclic_shift(da, ra)
-        for rb in range(db):
-            pb = linalg.cyclic_shift(db, rb)
-            coeff = np.trace(x @ linalg.kron(pa.conj().T, pb.conj().T))
-            out += coeff * linalg.kron(pa, pb)
-    return out / (da * db)
+    return apply_weighted(x, dims, channels.uniform_weights(da), channels.uniform_weights(db))
 
 
 def apply_weighted(x, dims, weights_a=None, weights_b=None) -> np.ndarray:
-    """Kraus application of weighted cyclic channels on each subsystem.
+    """Weighted cyclic channels on each subsystem, as index shifts.
 
-    ``None`` leaves that side untouched; passing uniform weights on A (and
-    None on B) reproduces :func:`apply_uniform_A` through an independent
-    code path, which the tests exploit as a cross-check.
+    ``None`` leaves that side untouched and returns a copy when both are
+    None.  The Kraus operator P^r (x) P^s shifts the A index pair by r and
+    the B index pair by s, so each side is one :func:`linalg.shift_average`
+    call on the (dA, dB, dA, dB) reshape: axes (0, 2) for A, (1, 3) for B.
     """
     x, da, db = linalg.as_bipartite(x, dims)
-
-    def terms(weights, d):
+    if weights_a is None and weights_b is None:
+        return x.copy()
+    out = x.reshape(da, db, da, db)
+    for weights, d, axes in ((weights_a, da, (0, 2)), (weights_b, db, (1, 3))):
         if weights is None:
-            return [(1.0, np.eye(d, dtype=complex))]
+            continue
         lam = channels.as_weights(weights)
         if lam.size != d:
             raise ValueError(f"weight count {lam.size} does not match dimension {d}")
-        return [(lam[k], linalg.cyclic_shift(d, k)) for k in range(d)]
-
-    out = np.zeros_like(x)
-    for wa, pa in terms(weights_a, da):
-        if wa == 0.0:
-            continue
-        for wb, pb in terms(weights_b, db):
-            if wb == 0.0:
-                continue
-            u = linalg.kron(pa, pb)
-            out += (wa * wb) * (u @ x @ u.conj().T)
-    return out
+        out = linalg.shift_average(out, lam, axes, -1)
+    return out.reshape(x.shape)
 
 
 def is_block_circulant(x, dims, tol: float = 1e-10, circulant_blocks: bool = False) -> bool:

@@ -11,6 +11,10 @@ whose Choi matrix stays positive under partial transposition, so uniformity
 and entanglement breaking coincide.  The module also provides the image
 under conjugation averaged over all d! permutation matrices, in closed
 form; that coarser average reappears in the coherence bounds.
+
+Every apply is a weighted sum of index shifts (:func:`linalg.shift_average`)
+and every spectrum a closed form in the weights' Fourier coefficients; the
+dense natural representation, Choi matrix and trace formula are references.
 """
 
 from __future__ import annotations
@@ -60,15 +64,13 @@ def _square_input(weights, x) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def apply_kraus(weights, x) -> np.ndarray:
-    """Channel image as the literal Kraus sum sum_k lam[k] P^k X P^-k."""
-    lam, x, d = _square_input(weights, x)
-    out = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        if lam[k] == 0.0:
-            continue
-        p = linalg.cyclic_shift(d, k)
-        out += lam[k] * (p @ x @ p.conj().T)
-    return out
+    """Channel image sum_k lam[k] P^k X P^-k, as index shifts of X.
+
+    Entry (a, b) of each Kraus term is X[a + k, b + k], so the sum costs
+    O(nnz(lam) d^2) and never forms a shift matrix.
+    """
+    lam, x, _ = _square_input(weights, x)
+    return linalg.shift_average(x, lam, (0, 1), -1)
 
 
 def apply_closed_form(weights, x) -> np.ndarray:
@@ -92,14 +94,16 @@ def apply_closed_form(weights, x) -> np.ndarray:
 def image_coeffs(x) -> np.ndarray:
     """Circulant coefficients c[k] = Tr(P^-k @ X) / d of the uniform image.
 
+    Tr(P^-k @ X) is the sum of the k-th cyclic diagonal X[i, (i + k) % d],
+    so c is the vector of cyclic-diagonal means.
+
     For a density matrix c[0] == 1/d, and for Hermitian X the coefficients
     pair up as c[r] == conj(c[d - r]).
     """
     x = linalg.as_square_matrix(x)
     d = x.shape[0]
-    return np.array(
-        [np.trace(linalg.cyclic_shift(d, -k) @ x) for k in range(d)]
-    ) / d
+    i, k = np.ogrid[:d, :d]
+    return x[i, (i + k) % d].mean(axis=0)
 
 
 def apply_uniform(x) -> np.ndarray:
@@ -119,14 +123,8 @@ def apply_adjoint(weights, x) -> np.ndarray:
     are asymmetric under k -> d - k; uniform weights are symmetric, so the
     averaging channel is its own adjoint.
     """
-    lam, x, d = _square_input(weights, x)
-    out = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        if lam[k] == 0.0:
-            continue
-        p = linalg.cyclic_shift(d, -k)
-        out += lam[k] * (p @ x @ p.conj().T)
-    return out
+    lam, x, _ = _square_input(weights, x)
+    return linalg.shift_average(x, lam, (0, 1), +1)
 
 
 def apply_mixed_permutation(x) -> np.ndarray:
@@ -180,9 +178,13 @@ class ChannelSpectrumReport:
 
 
 def channel_spectrum(weights, tol: float = 1e-8) -> ChannelSpectrumReport:
-    """Spectrum report of the natural representation of the channel."""
-    lam = as_weights(weights)
-    eig = np.linalg.eigvals(natural_representation(lam))
+    """Spectrum report of the natural representation of the channel.
+
+    K is a polynomial in P (x) P, which the DFT diagonalizes: its eigenvalues
+    are d * alpha[m] from :func:`weight_fourier_coeffs`, each d times.
+    """
+    alpha = weight_fourier_coeffs(weights)
+    eig = np.repeat(alpha.size * alpha, alpha.size)
     eig = eig[np.lexsort((eig.imag, eig.real))]
     return ChannelSpectrumReport(
         eigenvalues=eig,
@@ -216,11 +218,7 @@ def weight_fourier_coeffs(weights) -> np.ndarray:
     the weights are uniform, which is what drives the entanglement-breaking
     classification.
     """
-    lam = as_weights(weights)
-    d = lam.size
-    m = np.arange(d)
-    phases = np.exp(2j * np.pi * np.outer(m, m) / d)
-    return (phases @ lam) / d
+    return np.fft.ifft(as_weights(weights))
 
 
 def choi_pt_spectrum(weights) -> np.ndarray:
@@ -229,11 +227,17 @@ def choi_pt_spectrum(weights) -> np.ndarray:
     The Choi matrix is normalized to unit trace before transposing the B
     factor, so uniform weights give the multiset {1/d x d, 0 x (d^2 - d)}
     and any non-uniform weight vector produces a negative eigenvalue.
+
+    The partial transpose is (1/d) sum_k lam[k] (P^k (x) P^-k) SWAP.  In the
+    Fourier product basis |f_i, f_j> it is block diagonal: alpha[0] on each
+    of the d states |f_i, f_i>, and on each pair {|f_i, f_j>, |f_j, f_i>}
+    with i < j a 2 x 2 block with eigenvalues +-|alpha[(i - j) % d]|.
     """
-    lam = as_weights(weights)
-    d = lam.size
-    j = choi(lam) / d
-    return linalg.hermitian_spectrum(linalg.partial_transpose(j, (d, d), 1))
+    alpha = weight_fourier_coeffs(weights)
+    d = alpha.size
+    i, j = np.triu_indices(d, 1)
+    pair = np.abs(alpha[(i - j) % d])
+    return np.sort(np.concatenate([np.full(d, alpha[0].real), pair, -pair]))
 
 
 def is_entanglement_breaking(weights, tol: float = 1e-10) -> bool:

@@ -106,7 +106,7 @@ def _gell_mann() -> list[np.ndarray]:
     return [g1, g2, g3, g4, g5, g6, g7, g8]
 
 
-_GELL_MANN = _gell_mann()
+_GELL_MANN = np.array(_gell_mann())
 
 
 def gell_mann_basis() -> list[np.ndarray]:
@@ -122,10 +122,7 @@ def qutrit_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float).ravel()
     if r.size != 8:
         raise ValueError(f"Bloch vector must have 8 components, got {r.size}")
-    rho = np.eye(3, dtype=complex)
-    for ra, ga in zip(r, _GELL_MANN):
-        rho += _SQRT3 * ra * ga
-    return rho / 3.0
+    return (np.eye(3) + _SQRT3 * np.tensordot(r, _GELL_MANN, axes=1)) / 3.0
 
 
 def bloch_from_qutrit(rho) -> np.ndarray:
@@ -182,23 +179,21 @@ def coherence_sweep(phi: float, thetas, p: int = 1) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float)).ravel()
     if thetas.size == 0:
         raise ValueError("theta grid must be nonempty")
-    rows = np.empty((thetas.size, 4))
-    for i, th in enumerate(thetas):
-        psi = sweep_state(th, phi)
-        r = bloch_from_qutrit(np.outer(psi, psi.conj()))
-        s = r[0] + r[3] + r[5]
-        t = r[1] - r[4] + r[6]
-        if p == 1:
-            c_rho = (2.0 / _SQRT3) * (
-                np.hypot(r[0], r[1]) + np.hypot(r[3], r[4]) + np.hypot(r[5], r[6])
-            )
-            c_phi = (2.0 / _SQRT3) * np.hypot(s, t)
-            c_delta = (2.0 / _SQRT3) * abs(s)
-        else:
-            c_rho = (2.0 / 3.0) * (
-                r[0] ** 2 + r[1] ** 2 + r[3] ** 2 + r[4] ** 2 + r[5] ** 2 + r[6] ** 2
-            )
-            c_phi = (2.0 / 9.0) * (s**2 + t**2)
-            c_delta = (2.0 / 9.0) * s**2
-        rows[i] = (th, c_rho, c_phi, c_delta)
-    return rows
+    # one row of psi per grid point; r[a] = (sqrt3/2) <psi|G_a|psi> over the grid
+    psi = sweep_state(thetas, phi).T
+    r = (_SQRT3 / 2.0) * np.einsum("ni,aij,nj->an", psi.conj(), _GELL_MANN, psi).real
+    s = r[0] + r[3] + r[5]
+    t = r[1] - r[4] + r[6]
+    if p == 1:
+        c_rho = (2.0 / _SQRT3) * (
+            np.hypot(r[0], r[1]) + np.hypot(r[3], r[4]) + np.hypot(r[5], r[6])
+        )
+        c_phi = (2.0 / _SQRT3) * np.hypot(s, t)
+        c_delta = (2.0 / _SQRT3) * np.abs(s)
+    else:
+        c_rho = (2.0 / 3.0) * (
+            r[0] ** 2 + r[1] ** 2 + r[3] ** 2 + r[4] ** 2 + r[5] ** 2 + r[6] ** 2
+        )
+        c_phi = (2.0 / 9.0) * (s**2 + t**2)
+        c_delta = (2.0 / 9.0) * s**2
+    return np.column_stack((thetas, c_rho, c_phi, c_delta))

@@ -7,6 +7,8 @@ Conventions, fixed here and relied on everywhere else:
 * ``cyclic_shift(d, k)`` has its ones at ``(i, (i + k) % d)``, so powers add,
   the transpose is the inverse shift, and ``cyclic_shift(d, 1)`` at d = 2 is
   the Pauli X matrix;
+* ``shift_average(x, w, (0, 1), -1)`` is ``sum_k w[k] P^k @ x @ P^-k`` with
+  ``P = cyclic_shift(d, 1)``: entry (a, b) of each term is x[a + k, b + k];
 * ``vec`` flattens row-major, which gives the identity
   ``vec(A @ X @ B) == kron(A, B.T) @ vec(X)``;
 * a bipartite composite index is A-major: ``(i, p) -> i * dB + p``.
@@ -70,6 +72,22 @@ def cyclic_shift(d: int, k: int = 1) -> np.ndarray:
     """
     d = _check_dim(d)
     return np.roll(np.eye(d, dtype=complex), k % d, axis=1)
+
+
+def shift_average(x, weights, axes, sign: int) -> np.ndarray:
+    """sum_k w[k] * roll(x, sign * k), both ``axes`` together; zero weights skipped.
+
+    On axes (0, 1) with ``sign = -1`` this is sum_k w[k] P^k @ x @ P^-k, and
+    ``sign = +1`` gives the inverse conjugation.  Every channel apply goes
+    through this function, so it alone fixes the shift-index convention.
+    """
+    x = np.asarray(x, dtype=complex)
+    w = np.asarray(weights).ravel()
+    out = np.zeros_like(x)
+    for k in np.flatnonzero(w):
+        s = sign * int(k)
+        out += w[k] * np.roll(x, (s, s), axis=axes)
+    return out
 
 
 def circulant(coeffs) -> np.ndarray:

@@ -147,6 +147,25 @@ def test_canonicalize_properties():
         assert abs(ratio * report.canonical_invariant - report.original_invariant) < 1e-10
 
 
+def test_canonicalize_near_parallel_tuple():
+    # 33 qutrit states within 1e-5 of one vector: the circulant Gram matrix
+    # has 30 eigenvalues below the 1e-10 rank tolerance, and dropping them
+    # used to leave the canonical rows short enough to report a false
+    # modulus_bound_holds
+    rng = np.random.default_rng(22)
+    n, d = int(rng.integers(10, 40)), int(rng.integers(2, 6))
+    assert (n, d) == (33, 3)
+    base = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi = base + 1e-5 * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    canon, report = bargmann.canonicalize(psi)
+    assert report.modulus_bound_holds
+    assert report.arg_match
+    assert np.max(np.abs(np.linalg.norm(canon, axis=1) - 1.0)) < 1e-14
+    consec = [np.vdot(canon[k], canon[(k + 1) % n]) for k in range(n)]
+    assert max(abs(g - report.common_inner_product) for g in consec) < 1e-12
+
+
 def test_canonicalize_fixed_point():
     # a tuple of identical vectors is already canonical
     psi = np.tile(np.array([1.0, 0.0, 0.0], dtype=complex), (4, 1))

@@ -67,7 +67,7 @@ def test_apply_uniform_a_on_products():
 
 def test_apply_uniform_a_matches_kraus():
     rng = np.random.default_rng(1)
-    for da, db in [(2, 2), (2, 3), (3, 3), (4, 2)]:
+    for da, db in [(2, 2), (2, 3), (3, 3), (4, 2), (1, 3), (3, 1)]:
         for _ in range(10):
             x = random_matrix(da * db, rng)
             got = bipartite.apply_uniform_A(x, (da, db))
@@ -91,7 +91,7 @@ def test_apply_uniform_ab():
         got = bipartite.apply_uniform_AB(np.kron(a, b), (da, db))
         expect = np.kron(channels.apply_uniform(a), channels.apply_uniform(b))
         assert np.max(np.abs(got - expect)) < 1e-12
-    for da, db in [(2, 3), (3, 3)]:
+    for da, db in [(2, 3), (3, 3), (1, 3), (3, 1)]:
         x = random_matrix(da * db, rng)
         brute = np.zeros_like(x)
         for r in range(da):
@@ -106,7 +106,7 @@ def test_apply_uniform_ab():
 
 def test_apply_weighted_matches_uniform_paths():
     rng = np.random.default_rng(4)
-    for da, db in [(2, 3), (3, 2)]:
+    for da, db in [(2, 3), (3, 2), (1, 3), (3, 1)]:
         x = random_matrix(da * db, rng)
         ua = channels.uniform_weights(da)
         ub = channels.uniform_weights(db)
@@ -114,22 +114,23 @@ def test_apply_weighted_matches_uniform_paths():
         assert np.max(np.abs(both - bipartite.apply_uniform_AB(x, (da, db)))) < 1e-12
         left = bipartite.apply_weighted(x, (da, db), weights_a=ua)
         assert np.max(np.abs(left - bipartite.apply_uniform_A(x, (da, db)))) < 1e-12
-        assert np.array_equal(bipartite.apply_weighted(x, (da, db)), x)
+        untouched = bipartite.apply_weighted(x, (da, db))
+        assert np.array_equal(untouched, x) and untouched is not x
 
 
 def test_apply_weighted_general_weights():
     rng = np.random.default_rng(5)
-    da, db = 3, 2
-    lam_a = channels.as_weights(rng.dirichlet(np.ones(da)))
-    lam_b = channels.as_weights(rng.dirichlet(np.ones(db)))
-    x = random_matrix(da * db, rng)
-    brute = np.zeros_like(x)
-    for r in range(da):
-        for s in range(db):
-            op = np.kron(linalg.cyclic_shift(da, r), linalg.cyclic_shift(db, s))
-            brute += lam_a[r] * lam_b[s] * op @ x @ op.conj().T
-    got = bipartite.apply_weighted(x, (da, db), weights_a=lam_a, weights_b=lam_b)
-    assert np.max(np.abs(got - brute)) < 1e-12
+    for da, db in [(3, 2), (1, 4), (4, 1)]:
+        lam_a = channels.as_weights(rng.dirichlet(np.ones(da)))
+        lam_b = channels.as_weights(rng.dirichlet(np.ones(db)))
+        x = random_matrix(da * db, rng)
+        brute = np.zeros_like(x)
+        for r in range(da):
+            for s in range(db):
+                op = np.kron(linalg.cyclic_shift(da, r), linalg.cyclic_shift(db, s))
+                brute += lam_a[r] * lam_b[s] * op @ x @ op.conj().T
+        got = bipartite.apply_weighted(x, (da, db), weights_a=lam_a, weights_b=lam_b)
+        assert np.max(np.abs(got - brute)) < 1e-12
 
 
 def test_apply_weighted_rejects_wrong_weight_count():

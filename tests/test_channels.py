@@ -17,6 +17,25 @@ def random_matrix(d, rng):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def kraus_sum(lam, x, sign=1):
+    # literal sum_k lam[k] P^(sign k) X P^-(sign k) from dense shift matrices;
+    # sign -1 is the adjoint
+    d = len(lam)
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        p = linalg.cyclic_shift(d, sign * k)
+        out += lam[k] * (p @ x @ p.conj().T)
+    return out
+
+
+def sparse_weights(d, rng):
+    # Dirichlet weights with about half the entries set to exactly zero
+    lam = rng.dirichlet(np.ones(d)) * (rng.random(d) < 0.5)
+    if lam.sum() == 0.0:
+        lam[rng.integers(d)] = 1.0
+    return lam / lam.sum()
+
+
 def multiset_close(a, b, tol):
     # tolerance-aware multiset comparison; ordering of near-degenerate
     # complex eigenvalues is solver-dependent
@@ -87,13 +106,24 @@ def test_channel_structural_properties():
 
 def test_closed_form_matches_kraus():
     rng = np.random.default_rng(3)
-    for d in (2, 3, 4, 5, 6):
+    for d in (1, 2, 3, 4, 5, 6):
         for _ in range(20):
-            lam = rng.dirichlet(np.ones(d))
             x = random_matrix(d, rng)
-            a = channels.apply_kraus(lam, x)
-            b = channels.apply_closed_form(lam, x)
-            assert np.max(np.abs(a - b)) < 1e-12
+            for lam in (rng.dirichlet(np.ones(d)), sparse_weights(d, rng)):
+                a = channels.apply_kraus(lam, x)
+                b = channels.apply_closed_form(lam, x)
+                assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_apply_matches_literal_kraus_sum():
+    rng = np.random.default_rng(20)
+    for d in (1, 2, 3, 5, 8, 16, 33, 64):
+        for lam in (rng.dirichlet(np.ones(d)), sparse_weights(d, rng), np.eye(d)[-1]):
+            lam = channels.as_weights(lam)
+            x = random_matrix(d, rng)
+            scale = 1e-14 * d * np.max(np.abs(x))
+            assert np.max(np.abs(channels.apply_kraus(lam, x) - kraus_sum(lam, x))) < scale
+            assert np.max(np.abs(channels.apply_adjoint(lam, x) - kraus_sum(lam, x, -1))) < scale
 
 
 def test_uniform_image_entries_are_shifted_traces():
@@ -148,8 +178,8 @@ def test_uniform_images_commute():
 
 def test_adjoint_duality():
     rng = np.random.default_rng(8)
-    for d in (2, 3, 5):
-        lam = rng.dirichlet(np.ones(d))
+    for d in (1, 2, 3, 5, 16, 64):
+        lam = sparse_weights(d, rng) if d > 5 else rng.dirichlet(np.ones(d))
         x, y = random_matrix(d, rng), random_matrix(d, rng)
         lhs = np.trace(x.conj().T @ channels.apply_kraus(lam, y))
         rhs = np.trace(channels.apply_adjoint(lam, x).conj().T @ y)
@@ -227,13 +257,16 @@ def test_channel_spectrum_uniform_counts():
 def test_channel_spectrum_matches_fourier_oracle():
     # K is a polynomial in the shift tensor shift, so its eigenvalues are
     # d * alpha[(i + j) % d] over all index pairs
+    # dense eigvals of the natural representation is the independent route
     rng = np.random.default_rng(13)
-    for d in (2, 3, 4, 5):
-        lam = rng.dirichlet(np.ones(d))
-        alpha = channels.weight_fourier_coeffs(lam)
-        pred = np.array([d * alpha[(i + j) % d] for i in range(d) for j in range(d)])
-        got = channels.channel_spectrum(lam).eigenvalues
-        assert multiset_close(pred, got, 1e-8)
+    for d in (1, 2, 3, 4, 5, 7):
+        for lam in (rng.dirichlet(np.ones(d)), sparse_weights(d, rng)):
+            alpha = channels.weight_fourier_coeffs(lam)
+            pred = np.array([d * alpha[(i + j) % d] for i in range(d) for j in range(d)])
+            got = channels.channel_spectrum(lam).eigenvalues
+            assert multiset_close(pred, got, 1e-8)
+            dense = np.linalg.eigvals(channels.natural_representation(lam))
+            assert multiset_close(dense, got, 1e-8)
 
 
 def test_choi_uniform_qubit_value():
@@ -294,6 +327,10 @@ def test_weight_fourier_coeffs_values():
     for d in (2, 3, 6):
         lam = rng.dirichlet(np.ones(d))
         assert abs(channels.weight_fourier_coeffs(lam)[0] - 1.0 / d) < 1e-14
+        # explicit sum alpha[m] = (1/d) sum_k lam[k] exp(2 pi i k m / d)
+        m = np.arange(d)
+        explicit = np.exp(2j * np.pi * np.outer(m, m) / d) @ lam / d
+        assert np.max(np.abs(channels.weight_fourier_coeffs(lam) - explicit)) < 1e-14
 
 
 def test_choi_pt_spectrum_values():
@@ -320,6 +357,9 @@ def test_choi_pt_spectrum_matches_fourier_prediction():
             pred = np.sort(np.asarray(pred))
             got = channels.choi_pt_spectrum(lam)
             assert np.max(np.abs(pred - got)) < 1e-8
+            # dense route: partial transpose of the trace-normalized Choi matrix
+            pt = linalg.partial_transpose(channels.choi(lam) / d, (d, d), 1)
+            assert np.max(np.abs(linalg.hermitian_spectrum(pt) - got)) < 1e-8
 
 
 def test_entanglement_breaking_iff_uniform():
